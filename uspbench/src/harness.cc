@@ -1,6 +1,8 @@
 #include "harness.h"
 
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -46,8 +48,9 @@ void Report::Metric(const std::string& name, double value,
   metrics_[name] = {value, unit};
 }
 
-void Report::Samples(const std::string& name, size_t count) {
-  samples_[name] = count;
+void Report::Percentile(const std::string& name, double percentile,
+                        size_t count) {
+  stats_[name] = {percentile, count};
 }
 
 void Report::Info(const std::string& key, const std::string& value) {
@@ -71,8 +74,11 @@ std::string Report::SummaryJson() const {
   for (const auto& [name, e] : metrics_) {
     out << (first ? "" : ", ") << Quote(name) << ": {\"value\": "
         << Number(e.value) << ", \"unit\": " << Quote(e.unit);
-    auto it = samples_.find(name);
-    if (it != samples_.end()) out << ", \"samples\": " << it->second;
+    auto it = stats_.find(name);
+    if (it != stats_.end()) {
+      out << ", \"percentile\": " << Number(it->second.percentile)
+          << ", \"samples\": " << it->second.count;
+    }
     out << "}";
     first = false;
   }
@@ -161,23 +167,40 @@ std::vector<usp::Matrix> MakeInputs(const std::vector<size_t>& rows,
                                     size_t num_queries, uint64_t seed) {
   size_t total = kQueryPool;
   for (size_t r : rows) total += r;
-  const usp::Matrix all = usp::MakeSiftLike(total, kDataSeed);
-  std::vector<usp::Matrix> blocks;
-  size_t offset = 0;
-  for (size_t r : rows) {
-    usp::Matrix block(r, all.cols());
-    std::copy(all.Row(offset), all.Row(offset) + r * all.cols(), block.Row(0));
-    blocks.push_back(std::move(block));
-    offset += r;
-  }
+  usp::Matrix all = usp::MakeSiftLike(total, kDataSeed);
+  const size_t pool = total - kQueryPool;
   std::vector<uint32_t> pick(kQueryPool);
   for (uint32_t i = 0; i < kQueryPool; ++i) pick[i] = i;
   usp::Rng rng(seed);
   rng.Shuffle(&pick);
   usp::Matrix queries(num_queries, all.cols());
   for (size_t i = 0; i < num_queries; ++i) {
-    std::copy(all.Row(offset + pick[i]), all.Row(offset + pick[i]) + all.cols(),
+    std::copy(all.Row(pool + pick[i]), all.Row(pool + pick[i]) + all.cols(),
               queries.Row(i));
+  }
+  // Copy the blocks front to back, a few MiB at a time, dropping each page of
+  // `all` that has been copied out (its contents are not read again).
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t first_page =
+      (reinterpret_cast<uintptr_t>(all.data()) + page - 1) & ~(page - 1);
+  constexpr size_t kChunkRows = 4096;
+  std::vector<usp::Matrix> blocks;
+  size_t offset = 0;
+  for (size_t r : rows) {
+    usp::Matrix block(r, all.cols());
+    for (size_t done = 0; done < r; done += kChunkRows) {
+      const size_t n = std::min(kChunkRows, r - done);
+      std::copy(all.Row(offset + done), all.Row(offset + done + n),
+                block.Row(done));
+      const uintptr_t copied =
+          reinterpret_cast<uintptr_t>(all.Row(offset + done + n)) & ~(page - 1);
+      if (copied > first_page) {
+        madvise(reinterpret_cast<void*>(first_page), copied - first_page,
+                MADV_DONTNEED);
+      }
+    }
+    blocks.push_back(std::move(block));
+    offset += r;
   }
   blocks.push_back(std::move(queries));
   return blocks;
@@ -222,19 +245,22 @@ void BatchPhase(const usp::Index& index, const usp::Matrix& queries,
     }
   }
   report->Metric("batch_qps", Median(qps), "1/s");
-  report->Samples("batch_qps", qps.size());
+  report->Percentile("batch_qps", 50.0, qps.size());
 }
 
-std::vector<double> ClosedLoopViaExecutor(usp::BatchingExecutor* executor,
+std::vector<double> ClosedLoopViaExecutor(const usp::Index& index,
                                           const usp::Matrix& queries,
                                           const usp::SearchOptions& options,
                                           double seconds, size_t min_samples,
                                           uint32_t id_limit, Checker* checker) {
+  usp::BatchingExecutorConfig config;
+  config.max_delay_us = 0;
+  usp::BatchingExecutor executor(&index, config);
   std::vector<double> latencies_us;
   const int64_t end = NowNs() + static_cast<int64_t>(seconds * 1e9);
   for (size_t i = 0; NowNs() < end || latencies_us.size() < min_samples; ++i) {
     const int64_t t0 = NowNs();
-    auto submitted = executor->Submit(queries.Row(i % queries.rows()), options);
+    auto submitted = executor.Submit(queries.Row(i % queries.rows()), options);
     if (!submitted.ok()) {
       checker->Expect(false, "executor refused a request");
       continue;
@@ -315,28 +341,28 @@ std::vector<OpenLoopRecord> RunOpenLoop(usp::BatchingExecutor* executor,
   return records;
 }
 
+void ReportP99(const std::string& name, const std::vector<double>& in_time_order,
+               Checker* checker, Report* report) {
+  size_t windows = 0;
+  const double p99 = WindowMedian(in_time_order, 99.0, kLatencyWindows, &windows);
+  checker->Expect(windows > 0, name + ": too few samples for a p99 (" +
+                                   std::to_string(in_time_order.size()) + ")");
+  report->Metric(name, p99, "us");
+  report->Percentile(name, 99.0, in_time_order.size());
+}
+
 void ReportLatency(const std::string& prefix,
                    const std::vector<double>& latencies_us, Checker* checker,
                    Report* report) {
   size_t windows = 0;
-  const double p50 = WindowMedian(latencies_us, 50.0, kLatencyWindows, &windows);
-  const double p99 = WindowMedian(latencies_us, 99.0, kLatencyWindows, &windows);
-  checker->Expect(windows > 0, prefix + ": too few samples for a p99 (" +
-                                   std::to_string(latencies_us.size()) + ")");
-  report->Metric(prefix + "_p50_us", p50, "us");
-  report->Metric(prefix + "_p99_us", p99, "us");
-  report->Samples(prefix + "_p50_us", latencies_us.size());
-  report->Samples(prefix + "_p99_us", latencies_us.size());
-}
-
-void ReportFilteredP99(const std::vector<double>& filtered_us, Checker* checker,
-                       Report* report) {
-  size_t windows = 0;
-  report->Metric("filtered_p99_us",
-                 WindowMedian(filtered_us, 99.0, kLatencyWindows, &windows),
+  report->Metric(prefix + "_p50_us",
+                 WindowMedian(latencies_us, 50.0, kLatencyWindows, &windows),
                  "us");
-  report->Samples("filtered_p99_us", filtered_us.size());
-  checker->Expect(windows > 0, "too few filtered samples for a p99");
+  report->Percentile(prefix + "_p50_us", 50.0, latencies_us.size());
+  ReportP99(prefix + "_p99_us", latencies_us, checker, report);
+  const Tail tail = HighestSupported(latencies_us);
+  report->Metric(prefix + "_tail_us", tail.value, "us");
+  report->Percentile(prefix + "_tail_us", tail.percentile, tail.count);
 }
 
 std::vector<double> LatenciesUs(const std::vector<OpenLoopRecord>& records) {
@@ -350,7 +376,7 @@ std::vector<double> LatenciesUs(const std::vector<OpenLoopRecord>& records) {
 void ReportExecutorLayer(const std::vector<OpenLoopRecord>& records,
                          const std::vector<Span>& batch_spans,
                          const usp::BatchingExecutor& executor,
-                         Report* report) {
+                         Checker* checker, Report* report) {
   std::vector<Span> by_end = batch_spans;
   std::sort(by_end.begin(), by_end.end(),
             [](const Span& a, const Span& b) { return a.end_ns < b.end_ns; });
@@ -380,21 +406,83 @@ void ReportExecutorLayer(const std::vector<OpenLoopRecord>& records,
                                    batches
                              : 0.0,
                  "count");
-  const Tail wait99 = HighestSupported(waits_us);
   report->Metric("serve.queue_wait_p50_us",
                  waits_us.empty() ? 0.0 : Median(waits_us), "us");
-  report->Metric("serve.queue_wait_p99_us", wait99.value, "us");
-  report->Samples("serve.queue_wait_p99_us", waits_us.size());
+  report->Percentile("serve.queue_wait_p50_us", 50.0, waits_us.size());
+  ReportP99("serve.queue_wait_p99_us", waits_us, checker, report);
   report->Metric("serve.batch_exec_us", exec_us.empty() ? 0.0 : Median(exec_us),
                  "us");
   report->Metric("serve.busy_share", busy_ns / wall_ns, "share");
-  report->Metric("client.late_p99_us", HighestSupported(late_us).value, "us");
-  report->Samples("client.late_p99_us", late_us.size());
+  ReportP99("client.late_p99_us", late_us, checker, report);
 }
 
 // ---------------------------------------------------------------------------
 // Traced replays.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// What one pass of the stage replay counted.
+struct StageCounts {
+  size_t gathered = 0;
+  size_t unique = 0;
+  size_t useful = 0;
+  size_t mismatched = 0;
+};
+
+// One pass of core.score -> core.gather -> knn.rerank (+ dist.score) over
+// every query, spans recorded on `tracer`, ids compared with `reference`.
+StageCounts ReplayStagesOnce(const usp::PartitionIndex& index,
+                             const usp::Matrix& queries,
+                             const usp::KnnResult& truth,
+                             const usp::BatchSearchResult& reference,
+                             size_t budget, Tracer* tracer) {
+  const usp::DistanceComputer dist(index.base(), index.metric());
+  usp::Matrix scores;
+  {
+    ScopedSpan span(tracer, "core.score");
+    scores = index.ScoreQueries(queries);
+  }
+  StageCounts counts;
+  std::vector<uint32_t> candidates;
+  std::vector<float> out;
+  std::vector<float> scratch;
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const uint64_t request = tracer->NewId();
+    {
+      ScopedSpan span(tracer, "core.gather", 0, request);
+      index.CollectCandidates(scores.Row(q), budget, &candidates);
+    }
+    std::vector<usp::Neighbor> top;
+    {
+      ScopedSpan span(tracer, "knn.rerank", 0, request);
+      top = usp::RerankCandidatesScored(dist, queries.Row(q), candidates, kK);
+    }
+    counts.gathered += candidates.size();
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    counts.unique += candidates.size();
+    out.resize(candidates.size());
+    const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch);
+    {
+      ScopedSpan span(tracer, "dist.score", 0, request);
+      dist.ScoreIds(prepared, candidates.data(), candidates.size(), out.data());
+    }
+    bool same = top.size() == kK;
+    for (size_t j = 0; same && j < kK; ++j) {
+      same = top[j].id == reference.Row(q)[j];
+      if (std::find(truth.Row(q), truth.Row(q) + kK, top[j].id) !=
+          truth.Row(q) + kK) {
+        ++counts.useful;
+      }
+    }
+    if (!same) ++counts.mismatched;
+  }
+  return counts;
+}
+
+}  // namespace
 
 void ReplayPartitionStages(const usp::PartitionIndex& index,
                            const usp::Matrix& queries,
@@ -408,53 +496,11 @@ void ReplayPartitionStages(const usp::PartitionIndex& index,
       index.SearchBatch(queries, kK, budget, /*num_threads=*/1);
   const double reference_s = static_cast<double>(NowNs() - t0) * 1e-9;
 
-  const usp::DistanceComputer dist(index.base(), index.metric());
-  usp::Matrix scores;
-  {
-    ScopedSpan span(tracer, "core.score");
-    scores = index.ScoreQueries(queries);
-  }
-  std::vector<uint32_t> candidates;
-  std::vector<float> out;
-  std::vector<float> scratch;
-  size_t gathered = 0;
-  size_t unique_total = 0;
-  size_t useful = 0;
-  size_t mismatched = 0;
-  for (size_t q = 0; q < nq; ++q) {
-    const uint64_t request = tracer->NewId();
-    {
-      ScopedSpan span(tracer, "core.gather", 0, request);
-      index.CollectCandidates(scores.Row(q), budget, &candidates);
-    }
-    std::vector<usp::Neighbor> top;
-    {
-      ScopedSpan span(tracer, "knn.rerank", 0, request);
-      top = usp::RerankCandidatesScored(dist, queries.Row(q), candidates, kK);
-    }
-    gathered += candidates.size();
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    unique_total += candidates.size();
-    out.resize(candidates.size());
-    const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch);
-    {
-      ScopedSpan span(tracer, "dist.score", 0, request);
-      dist.ScoreIds(prepared, candidates.data(), candidates.size(), out.data());
-    }
-    bool same = top.size() == kK;
-    for (size_t j = 0; same && j < kK; ++j) {
-      same = top[j].id == reference.Row(q)[j];
-      if (std::find(truth.Row(q), truth.Row(q) + kK, top[j].id) !=
-          truth.Row(q) + kK) {
-        ++useful;
-      }
-    }
-    if (!same) ++mismatched;
-  }
-  checker->Expect(mismatched == 0, "replayed stages differ from SearchBatch on " +
-                                       std::to_string(mismatched) + " queries");
+  const StageCounts counts =
+      ReplayStagesOnce(index, queries, truth, reference, budget, tracer);
+  checker->Expect(counts.mismatched == 0,
+                  "replayed stages differ from SearchBatch on " +
+                      std::to_string(counts.mismatched) + " queries");
 
   const double per_q_us = 1e6 / static_cast<double>(nq);
   const double score_s = tracer->TotalSeconds("core.score");
@@ -466,37 +512,26 @@ void ReplayPartitionStages(const usp::PartitionIndex& index,
   report->Metric("dist.score_us", tracer->TotalSeconds("dist.score") * per_q_us,
                  "us");
   report->Metric("core.candidates_per_q",
-                 static_cast<double>(gathered) / static_cast<double>(nq),
+                 static_cast<double>(counts.gathered) / static_cast<double>(nq),
                  "count");
   report->Metric("knn.dup_share",
-                 gathered ? 1.0 - static_cast<double>(unique_total) /
-                                      static_cast<double>(gathered)
-                          : 0.0,
+                 counts.gathered ? 1.0 - static_cast<double>(counts.unique) /
+                                             static_cast<double>(counts.gathered)
+                                 : 0.0,
                  "share");
   report->Metric("knn.useful_share",
-                 unique_total ? static_cast<double>(useful) /
-                                    static_cast<double>(unique_total)
-                              : 0.0,
+                 counts.unique ? static_cast<double>(counts.useful) /
+                                     static_cast<double>(counts.unique)
+                               : 0.0,
                  "share");
   report->Metric("trace.stage_sum_share",
                  (score_s + gather_s + rerank_s) / reference_s, "share");
-}
-
-void ReportTraceOverhead(const usp::Index& index, const usp::Matrix& queries,
-                         size_t budget, Tracer* tracer, Report* report) {
-  const SpanIndex traced(&index, tracer, "trace.batch");
-  std::vector<double> bare_s;
-  std::vector<double> traced_s;
-  for (size_t rep = 0; rep < 6; ++rep) {
-    const usp::Index& target =
-        rep % 2 == 0 ? index : static_cast<const usp::Index&>(traced);
-    const int64_t t0 = NowNs();
-    target.SearchBatch(queries, kK, budget);
-    (rep % 2 == 0 ? bare_s : traced_s)
-        .push_back(static_cast<double>(NowNs() - t0) * 1e-9);
-  }
-  report->Metric("trace.overhead_share", Median(traced_s) / Median(bare_s) - 1.0,
-                 "share");
+  ReportTraceOverhead(
+      5,
+      [&](Tracer* t) {
+        ReplayStagesOnce(index, queries, truth, reference, budget, t);
+      },
+      report);
 }
 
 }  // namespace uspbench

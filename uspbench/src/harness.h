@@ -31,8 +31,9 @@ struct RunArgs {
 class Report {
  public:
   void Metric(const std::string& name, double value, const std::string& unit);
-  /// Sample count printed next to a percentile metric.
-  void Samples(const std::string& name, size_t count);
+  /// Percentile and sample count printed next to a metric taken from a
+  /// sample.
+  void Percentile(const std::string& name, double percentile, size_t count);
   void Info(const std::string& key, const std::string& value);
   void Info(const std::string& key, double value);
 
@@ -49,8 +50,12 @@ class Report {
     double value;
     std::string unit;
   };
+  struct Stat {
+    double percentile;
+    size_t count;
+  };
   std::map<std::string, Entry> metrics_;
-  std::map<std::string, size_t> samples_;
+  std::map<std::string, Stat> stats_;
   std::map<std::string, std::string> info_;
 };
 
@@ -84,7 +89,9 @@ double RowRecall(const uint32_t* ids, const uint32_t* truth, size_t k);
 double BatchRecall(const usp::BatchSearchResult& result,
                    const usp::KnnResult& truth);
 
-/// Peak resident set of this process, MiB.
+/// Peak resident set of this process, MiB. MakeInputs keeps the input phase
+/// below the program's own peak, so this is the program's data plus the
+/// inputs it is handed.
 double PeakRssMib();
 
 /// A predicate over ids admitting about one id in ten, by a seeded hash. Its
@@ -108,7 +115,9 @@ inline constexpr size_t kLatencyWindows = 8;
 
 /// SIFT-like rows from the fixed generator, split into consecutive blocks of
 /// `rows`, followed by `num_queries` queries drawn by `seed` from the
-/// held-out pool.
+/// held-out pool. Each page of the generated rows is returned to the system
+/// once copied into its block, so the generator's output and the blocks are
+/// never both resident and the input phase cannot set the peak RSS.
 std::vector<usp::Matrix> MakeInputs(const std::vector<size_t>& rows,
                                     size_t num_queries, uint64_t seed);
 
@@ -157,11 +166,13 @@ void BatchPhase(const usp::Index& index, const usp::Matrix& queries,
                 double recall_floor, Checker* checker, Report* report);
 
 /// Closed loop, one client, through a BatchingExecutor: submit one query,
-/// wait for its future, repeat, so every batch is one wide. Runs until
-/// `seconds` pass and `min_samples` were sent; each row is checked
-/// (including options.filter membership). Returns the latencies (us) in
-/// time order.
-std::vector<double> ClosedLoopViaExecutor(usp::BatchingExecutor* executor,
+/// wait for its future, repeat, so every batch is one wide. The executor
+/// flushes at once (max_delay_us = 0): with one client no second request can
+/// arrive, so a coalescing deadline would only add a fixed sleep to every
+/// request. Runs until `seconds` pass and `min_samples` were sent; each row
+/// is checked (including options.filter membership). Returns the latencies
+/// (us) in time order.
+std::vector<double> ClosedLoopViaExecutor(const usp::Index& index,
                                           const usp::Matrix& queries,
                                           const usp::SearchOptions& options,
                                           double seconds, size_t min_samples,
@@ -184,17 +195,20 @@ std::vector<OpenLoopRecord> RunOpenLoop(usp::BatchingExecutor* executor,
                                         size_t min_requests, size_t budget,
                                         uint32_t id_limit, Checker* checker);
 
-/// Reports <prefix>_p50_us and <prefix>_p99_us of `latencies_us`, kept in
-/// time order, through WindowMedian; a p99 the sample cannot support is a
-/// failed check.
+/// The one rule behind every metric named *_p99_*: the WindowMedian of the
+/// 99th percentile of `in_time_order` (us), so each window has at least
+/// kMinTailSamples samples beyond its p99. Fewer than kMinWindow samples
+/// fail a check and report 0.
+void ReportP99(const std::string& name, const std::vector<double>& in_time_order,
+               Checker* checker, Report* report);
+
+/// Reports <prefix>_p50_us (WindowMedian) and <prefix>_p99_us (ReportP99)
+/// of `latencies_us`, kept in time order, and, in the summary only,
+/// <prefix>_tail_us: the highest percentile the whole sample supports
+/// (HighestSupported).
 void ReportLatency(const std::string& prefix,
                    const std::vector<double>& latencies_us, Checker* checker,
                    Report* report);
-
-/// Reports filtered_p99_us (WindowMedian); a p99 the sample cannot support
-/// fails a check.
-void ReportFilteredP99(const std::vector<double>& filtered_us, Checker* checker,
-                       Report* report);
 
 /// Open-loop latencies from due time to ready, us.
 std::vector<double> LatenciesUs(const std::vector<OpenLoopRecord>& records);
@@ -205,23 +219,38 @@ std::vector<double> LatenciesUs(const std::vector<OpenLoopRecord>& records);
 void ReportExecutorLayer(const std::vector<OpenLoopRecord>& records,
                          const std::vector<Span>& batch_spans,
                          const usp::BatchingExecutor& executor,
-                         Report* report);
+                         Checker* checker, Report* report);
+
+/// trace.overhead_share: `replay(tracer)` timed in `pairs` pairs, once with
+/// a recording tracer and once with a disabled one, the order alternating
+/// from pair to pair; the median over pairs of the time ratio, minus one.
+/// Both runs execute the same instrumented code, so the difference is what
+/// recording the spans costs. Pairing cancels the host's slow drift.
+template <typename Fn>
+void ReportTraceOverhead(size_t pairs, Fn&& replay, Report* report) {
+  std::vector<double> ratios;
+  for (size_t i = 0; i < pairs; ++i) {
+    double seconds[2] = {0.0, 0.0};  // [disabled, recording]
+    for (size_t j = 0; j < 2; ++j) {
+      const bool record = (i + j) % 2 == 0;
+      Tracer tracer(record);
+      seconds[record] = MedianSeconds(1, [&](size_t) { replay(&tracer); });
+    }
+    ratios.push_back(seconds[1] / seconds[0]);
+  }
+  report->Metric("trace.overhead_share", Median(ratios) - 1.0, "share");
+}
 
 /// Traced replay of a PartitionIndex query batch, stage by stage:
 /// core.score (ScoreQueries) -> core.gather (CollectCandidates) ->
 /// knn.rerank (RerankCandidatesScored), plus dist.score (ScoreIds over each
 /// deduplicated candidate list) as a separate call. The replayed ids must
-/// equal SearchBatch's. Reports core.*, knn.*, dist.* and
-/// trace.stage_sum_share.
+/// equal SearchBatch's. Reports core.*, knn.*, dist.*,
+/// trace.stage_sum_share, and trace.overhead_share of the replay itself.
 void ReplayPartitionStages(const usp::PartitionIndex& index,
                            const usp::Matrix& queries,
                            const usp::KnnResult& truth, size_t budget,
                            Tracer* tracer, Checker* checker, Report* report);
-
-/// trace.overhead_share: SearchBatch through a SpanIndex against the bare
-/// index, median over alternating repetitions.
-void ReportTraceOverhead(const usp::Index& index, const usp::Matrix& queries,
-                         size_t budget, Tracer* tracer, Report* report);
 
 }  // namespace uspbench
 

@@ -6,6 +6,8 @@
 //
 //   uspbench --workload paper-usp|ivf-serve|mixed-rw --seed N --seconds S
 //            --trace 0|1 [--trace-dir DIR]
+#include <malloc.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,15 +22,14 @@ namespace uspbench {
 namespace {
 
 // Reported on every untraced run of every workload. The other end-to-end
-// figures (batch_qps, the p99s, the open-loop load_p50_us and load_p99_us,
-// mixed-rw's write_p99_us, read_qps and catchup_s) are printed in the
-// summary line only. Across seeds on a shared 4-core host they spread by
-// 0.15 to 1.5 of their median, too wide for any bound the benchmark may set
-// (uspbench/README.md).
+// figures (batch_qps, the latency percentiles, mixed-rw's write_p99_us,
+// read_qps and catchup_s) are printed in the summary line only. Every one of
+// them is a wall-clock speed, and across seeds on a shared 4-core host the
+// memory-bound ivf-serve moved its single-query p50 by 0.22 to 0.35 of its
+// median, more than any bound the benchmark may set (uspbench/README.md).
 const std::vector<std::pair<std::string, std::string>> kEndToEnd = {
     {"setup_s", "s"},
     {"recall_at_10", "ratio"},
-    {"lat_p50_us", "us"},
     {"peak_rss_mib", "MiB"},
 };
 
@@ -109,6 +110,13 @@ int Main(int argc, char** argv) {
                        "on; configure with -DCMAKE_BUILD_TYPE=Release\n");
   return 2;
 #endif
+
+  // Serve every allocation of 4 MiB or more from its own mapping, returned
+  // to the system on free. glibc otherwise raises this threshold as large
+  // blocks are freed and then keeps later ones in per-thread arenas, so
+  // which thread freed what, a matter of timing, moved peak_rss_mib by up to
+  // 50 MiB between runs of the same inputs.
+  mallopt(M_MMAP_THRESHOLD, 4 << 20);
 
   Report report;
   const char* commit = std::getenv("USPBENCH_COMMIT");

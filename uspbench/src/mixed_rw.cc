@@ -56,7 +56,20 @@ class LocalSelector final : public usp::IdSelector {
   const std::unordered_set<uint32_t>& tombstones_;
 };
 
-std::unique_ptr<usp::DynamicIndex> SetUp(const usp::Matrix& preload) {
+// Ids never deleted: the live set the exact reference searches.
+class LiveSelector final : public usp::IdSelector {
+ public:
+  explicit LiveSelector(const std::vector<std::atomic<int64_t>>& deleted_at)
+      : deleted_at_(deleted_at) {}
+  bool is_member(uint32_t id) const override {
+    return deleted_at_[id].load() == 0;
+  }
+
+ private:
+  const std::vector<std::atomic<int64_t>>& deleted_at_;
+};
+
+std::unique_ptr<usp::DynamicIndex> SetUp(usp::MatrixView preload) {
   usp::DynamicIndexConfig config;
   config.seal_threshold = kSealThreshold;
   config.max_sealed_segments = kMaxSealed;
@@ -65,13 +78,6 @@ std::unique_ptr<usp::DynamicIndex> SetUp(const usp::Matrix& preload) {
   index->Seal();
   index->WaitForMaintenance();
   return index;
-}
-
-// Row of global id `gid`: ids are handed out contiguously, preload first.
-const float* RowOf(uint32_t gid, const usp::Matrix& preload,
-                   const usp::Matrix& pool) {
-  return gid < preload.rows() ? preload.Row(gid)
-                              : pool.Row(gid - preload.rows());
 }
 
 // Everything the traced replay measures, summed over replayed reads.
@@ -161,12 +167,14 @@ void RunMixedRw(const RunArgs& args, Tracer* tracer, Checker* checker, Report* r
   const double write_seconds = 0.8 * s;
   const size_t ticks =
       std::max(kMinTicks, static_cast<size_t>(write_seconds * kTickRate) + 1);
+  // Every row the run will add, preload first: ids are handed out
+  // contiguously, so global id i is row i.
   const std::vector<usp::Matrix> blocks =
-      MakeInputs({kPreload, ticks * kRowsPerTick}, kQueries, args.seed);
-  const usp::Matrix& preload = blocks[0];
-  const usp::Matrix& pool = blocks[1];
-  const usp::Matrix& queries = blocks[2];
-  const uint32_t id_limit = static_cast<uint32_t>(preload.rows() + pool.rows());
+      MakeInputs({kPreload + ticks * kRowsPerTick}, kQueries, args.seed);
+  const usp::Matrix& rows = blocks[0];
+  const usp::Matrix& queries = blocks[1];
+  const usp::MatrixView preload(rows.data(), kPreload, kDim);
+  const uint32_t id_limit = static_cast<uint32_t>(rows.rows());
   const HashSelector filter(args.seed);
   report->Info("sizes", "preload 40000x128, 1000 queries, seal at 4000 rows, "
                         "compact above 4 sealed segments");
@@ -250,9 +258,10 @@ void RunMixedRw(const RunArgs& args, Tracer* tracer, Checker* checker, Report* r
     if (due > now) std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
     const int64_t sent = NowNs();
     late_us.push_back(static_cast<double>(schedule.Lateness(t, sent)) * 1e-3);
-    const usp::MatrixView rows(pool.Row(t * kRowsPerTick), kRowsPerTick, kDim);
+    const usp::MatrixView batch(rows.Row(kPreload + t * kRowsPerTick),
+                                kRowsPerTick, kDim);
     const int64_t a0 = NowNs();
-    const std::vector<uint32_t> ids = index->AddBatch(rows);
+    const std::vector<uint32_t> ids = index->AddBatch(batch);
     add_us.push_back(static_cast<double>(NowNs() - a0) * 1e-3);
     const uint32_t expected = static_cast<uint32_t>(kPreload + t * kRowsPerTick);
     checker->Expect(ids.size() == kRowsPerTick && ids.front() == expected,
@@ -275,15 +284,10 @@ void RunMixedRw(const RunArgs& args, Tracer* tracer, Checker* checker, Report* r
   stop.store(true);
   for (std::thread& t : readers) t.join();
 
-  // Exact reference over the live rows, in global ids.
-  std::sort(live.begin(), live.end());
-  usp::Matrix live_rows(live.size(), kDim);
-  for (size_t i = 0; i < live.size(); ++i) {
-    std::copy(RowOf(live[i], preload, pool), RowOf(live[i], preload, pool) + kDim,
-              live_rows.Row(i));
-  }
-  usp::KnnResult truth = usp::BruteForceKnn(live_rows, queries, kK);
-  for (uint32_t& id : truth.indices) id = live[id];
+  // Exact reference over the live rows; row index = global id.
+  const LiveSelector live_rows(deleted_at);
+  const usp::KnnResult truth = usp::BruteForceKnn(
+      rows, queries, kK, usp::Metric::kSquaredL2, &live_rows);
   checker->Expect(index->size() == live.size(), "live count differs");
 
   // After maintenance, a full-budget search is brute force over the live
@@ -311,10 +315,9 @@ void RunMixedRw(const RunArgs& args, Tracer* tracer, Checker* checker, Report* r
     }
     report->Metric("setup_s", setup_s, "s");
     ReportLatency("lat", plain, checker, report);
-    ReportFilteredP99(filtered, checker, report);
+    ReportP99("filtered_p99_us", filtered, checker, report);
     ReportLatency("load", tick_us, checker, report);
-    report->Metric("write_p99_us", HighestSupported(write_us).value, "us");
-    report->Samples("write_p99_us", write_us.size());
+    ReportP99("write_p99_us", write_us, checker, report);
     report->Metric("read_qps",
                    static_cast<double>(plain.size() + filtered.size()) /
                        write_seconds,
@@ -331,8 +334,7 @@ void RunMixedRw(const RunArgs& args, Tracer* tracer, Checker* checker, Report* r
 
   report->Metric("ivf.build_s", tracer->TotalSeconds("ivf.build"), "s");
   report->Metric("serve.catchup_s", catchup_s, "s");
-  report->Metric("serve.add_p99_us", HighestSupported(add_us).value, "us");
-  report->Samples("serve.add_p99_us", add_us.size());
+  ReportP99("serve.add_p99_us", add_us, checker, report);
   report->Metric("serve.segments_mean", Mean(totals.segments), "count");
   report->Metric("serve.write_rows_mean", Mean(totals.write_rows), "count");
   report->Metric("serve.tombstone_share", Mean(totals.tombstone_share), "share");
@@ -362,8 +364,19 @@ void RunMixedRw(const RunArgs& args, Tracer* tracer, Checker* checker, Report* r
                  static_cast<double>(totals.plans[1]) / plans, "share");
   report->Metric("index.plan_post_filter_share",
                  static_cast<double>(totals.plans[2]) / plans, "share");
-  report->Metric("client.late_p99_us", HighestSupported(late_us).value, "us");
-  report->Samples("client.late_p99_us", late_us.size());
+  ReportP99("client.late_p99_us", late_us, checker, report);
+  // The replay is the traced run's instrumentation: time it over the final
+  // index with the tracer recording and with it off.
+  ReportTraceOverhead(
+      5,
+      [&](Tracer* t) {
+        ReplayTotals scratch;
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          ReplayRead(*index, queries.Row(q), q % 5 == 4 ? &filter : nullptr, t,
+                     &scratch);
+        }
+      },
+      report);
 }
 
 }  // namespace uspbench
